@@ -1230,6 +1230,14 @@ fn run_cell_attempt(
     chaos: Option<&ChaosInjector>,
 ) -> Result<CellResult, ExpError> {
     let t0 = Instant::now();
+    if spec.interval == 0 {
+        // Caught here, not by the sampling timer's assert: a config
+        // error is final, while a panic would be retried as transient.
+        return Err(ExpError::Config(SimError::InvalidConfig {
+            field: "interval",
+            reason: "sampling interval must be nonzero".to_string(),
+        }));
+    }
     match spec.fault {
         Some(Fault::PanicUntilAttempt(n)) if attempt < n => {
             panic!("injected panic on attempt {attempt} (cell {index})")

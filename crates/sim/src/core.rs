@@ -14,7 +14,8 @@
 //! every cycle observers receive a [`CycleView`] — this is TEA's
 //! hardware substrate.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use tea_isa::capture::{codec, CapturedTrace};
@@ -27,9 +28,8 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::hierarchy::{HierarchyStats, MemHierarchy};
 use crate::psv::{CommitState, Event, Psv};
-use crate::queue::{wheel_cycles, CalendarQueue};
-use crate::slab::{IqKind, Ring, Slab, SlotRef};
-use crate::trace::{CycleView, DynObservers, InstRef, Observer, ObserverHost, RetiredInst};
+use crate::slab::{IqKind, Slab, SlotRef};
+use crate::trace::{CycleView, InstRef, Observer, RetiredInst};
 
 /// Aggregate statistics of one simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -92,27 +92,68 @@ impl SimStats {
     }
 }
 
+/// Floor below which a [`HeapQueue`] never shrinks: steady-state
+/// occupancy is tens of entries, so only a squash or issue burst grows a
+/// queue past it.
+const QUEUE_SHRINK_FLOOR: usize = 64;
+
+/// A min-heap of `(cycle, seq, idx, gen)` entries: the completion-event
+/// queue, and each issue queue's `(ready, seq, idx, gen)` ready queue.
+/// Pops ascend in full-tuple order, so same-cycle entries leave oldest
+/// first. Entries of squashed instructions stay queued until they pop
+/// and fail the generation check.
+#[derive(Debug, Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u32, u32)>>,
+}
+
+impl HeapQueue {
+    fn push(&mut self, cycle: u64, seq: u64, r: SlotRef) {
+        self.heap.push(Reverse((cycle, seq, r.idx, r.gen)));
+    }
+
+    /// Pops the smallest entry due at or before `now`, as `(seq, slot)`.
+    /// When nothing is due, a burst's capacity is given back with the
+    /// hysteresis of [`Stream::release_below`].
+    fn pop_due(&mut self, now: u64) -> Option<(u64, SlotRef)> {
+        match self.heap.peek() {
+            Some(&Reverse((cycle, seq, idx, gen))) if cycle <= now => {
+                self.heap.pop();
+                Some((seq, SlotRef { idx, gen }))
+            }
+            _ => {
+                let cap = self.heap.capacity();
+                if cap > QUEUE_SHRINK_FLOOR && self.heap.len() * 4 < cap {
+                    self.heap
+                        .shrink_to((self.heap.len() * 2).max(QUEUE_SHRINK_FLOOR));
+                }
+                None
+            }
+        }
+    }
+
+    /// The cycle of the earliest entry, due or not.
+    fn next_cycle(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse((cycle, ..))| cycle)
+    }
+}
+
 #[derive(Debug)]
 struct IssueQueue {
     cap: usize,
     width: usize,
     count: usize,
-    /// `(ready, seq, idx, gen)` calendar queue; pop order matches the
-    /// old `BinaryHeap<Reverse<_>>` exactly.
-    ready: CalendarQueue,
+    ready: HeapQueue,
 }
 
 impl IssueQueue {
-    fn new(cap: usize, width: usize, wheel: u64) -> Self {
+    fn new(cap: usize, width: usize) -> Self {
         IssueQueue {
             cap,
             width,
             count: 0,
-            ready: CalendarQueue::new(wheel),
+            ready: HeapQueue::default(),
         }
-    }
-    fn push_ready(&mut self, ready: u64, seq: u64, r: SlotRef) {
-        self.ready.push(ready, seq, r.idx, r.gen);
     }
 }
 
@@ -350,8 +391,8 @@ pub struct Core<'p> {
     cursor: u64,
 
     slab: Slab,
-    fetch_buf: Ring<SlotRef>,
-    rob: Ring<SlotRef>,
+    fetch_buf: VecDeque<SlotRef>,
+    rob: VecDeque<SlotRef>,
     rename: [Option<SlotRef>; 64],
     int_q: IssueQueue,
     mem_q: IssueQueue,
@@ -360,9 +401,9 @@ pub struct Core<'p> {
     fp_div_free: u64,
     fp_sqrt_free: u64,
     ldq: Vec<LdqEntry>,
-    stq: Ring<StqEntry>,
+    stq: VecDeque<StqEntry>,
     /// `(cycle, seq, idx, gen)` completion events.
-    events: CalendarQueue,
+    events: HeapQueue,
 
     fetch_done: bool,
     fetch_blocked_until: u64,
@@ -484,17 +525,6 @@ impl<'p> Core<'p> {
     fn build(stream: Stream<'p>, cfg: SimConfig) -> Result<Self, SimError> {
         cfg.validate()?;
         let slot_count = cfg.rob_entries + cfg.fetch_buffer + cfg.fetch_width + 4;
-        let wheel = wheel_cycles(&cfg);
-        let no_slot = SlotRef { idx: 0, gen: 0 };
-        let no_store = StqEntry {
-            seq: 0,
-            addr: 0,
-            addr_known: false,
-            complete: None,
-            committed: false,
-            drain_started: false,
-            drain_done: 0,
-        };
         Ok(Core {
             hier: MemHierarchy::new(&cfg),
             bp: BranchPredictor::new(&cfg.branch),
@@ -502,18 +532,18 @@ impl<'p> Core<'p> {
             cycle: 0,
             cursor: 0,
             slab: Slab::new(slot_count),
-            fetch_buf: Ring::new(cfg.fetch_buffer, no_slot),
-            rob: Ring::new(cfg.rob_entries, no_slot),
+            fetch_buf: VecDeque::with_capacity(cfg.fetch_buffer),
+            rob: VecDeque::with_capacity(cfg.rob_entries),
             rename: [None; 64],
-            int_q: IssueQueue::new(cfg.int_iq.entries, cfg.int_iq.issue_width, wheel),
-            mem_q: IssueQueue::new(cfg.mem_iq.entries, cfg.mem_iq.issue_width, wheel),
-            fp_q: IssueQueue::new(cfg.fp_iq.entries, cfg.fp_iq.issue_width, wheel),
+            int_q: IssueQueue::new(cfg.int_iq.entries, cfg.int_iq.issue_width),
+            mem_q: IssueQueue::new(cfg.mem_iq.entries, cfg.mem_iq.issue_width),
+            fp_q: IssueQueue::new(cfg.fp_iq.entries, cfg.fp_iq.issue_width),
             int_div_free: 0,
             fp_div_free: 0,
             fp_sqrt_free: 0,
             ldq: Vec::with_capacity(cfg.ldq_entries),
-            stq: Ring::new(cfg.stq_entries, no_store),
-            events: CalendarQueue::new(wheel),
+            stq: VecDeque::with_capacity(cfg.stq_entries),
+            events: HeapQueue::default(),
             fetch_done: false,
             fetch_blocked_until: 0,
             pending_fe_bits: Psv::empty(),
@@ -658,13 +688,12 @@ impl<'p> Core<'p> {
     #[inline(always)]
     fn process_events(&mut self) {
         let now = self.cycle;
-        self.events.advance(now);
-        while let Some((_c, _seq, idx, gen)) = self.events.pop_due() {
+        while let Some((_seq, r)) = self.events.pop_due(now) {
             self.progress = true;
-            let r = SlotRef { idx, gen };
             if !self.valid(r) {
                 continue;
             }
+            let idx = r.idx;
             // Rotate the slot's waiter list out through the scratch
             // buffer (and leave the scratch's spare capacity behind in
             // the slot) instead of `mem::take`, which would free this
@@ -698,7 +727,7 @@ impl<'p> Core<'p> {
                     )
                 };
                 if push {
-                    self.iq_mut(kind).push_ready(ready, wseq, w);
+                    self.iq_mut(kind).ready.push(ready, wseq, w);
                 }
             }
             waiters.clear();
@@ -900,16 +929,14 @@ impl<'p> Core<'p> {
             let mut issued = 0;
             while issued < width {
                 let cycle = self.cycle;
-                let q = self.iq_mut(kind);
-                q.ready.advance(cycle);
-                let Some((_, seq, idx, gen)) = q.ready.pop_due() else {
+                let Some((seq, r)) = self.iq_mut(kind).ready.pop_due(cycle) else {
                     break;
                 };
                 self.progress = true;
-                let r = SlotRef { idx, gen };
                 if !self.valid(r) {
                     continue; // squashed while queued; costs no slot
                 }
+                let idx = r.idx;
                 if self.slab[idx].issued {
                     continue;
                 }
@@ -926,7 +953,7 @@ impl<'p> Core<'p> {
                     ExecClass::IntDiv => {
                         if self.int_div_free > now {
                             let free = self.int_div_free;
-                            self.iq_mut(kind).push_ready(free, seq, r);
+                            self.iq_mut(kind).ready.push(free, seq, r);
                             issued += 1;
                             continue;
                         }
@@ -938,7 +965,7 @@ impl<'p> Core<'p> {
                     ExecClass::FpDiv => {
                         if self.fp_div_free > now {
                             let free = self.fp_div_free;
-                            self.iq_mut(kind).push_ready(free, seq, r);
+                            self.iq_mut(kind).ready.push(free, seq, r);
                             issued += 1;
                             continue;
                         }
@@ -948,7 +975,7 @@ impl<'p> Core<'p> {
                     ExecClass::FpSqrt => {
                         if self.fp_sqrt_free > now {
                             let free = self.fp_sqrt_free;
-                            self.iq_mut(kind).push_ready(free, seq, r);
+                            self.iq_mut(kind).ready.push(free, seq, r);
                             issued += 1;
                             continue;
                         }
@@ -970,7 +997,7 @@ impl<'p> Core<'p> {
                     debug_assert_eq!(k, kind);
                     self.iq_mut(kind).count -= 1;
                 }
-                self.events.push(complete, seq, idx, gen);
+                self.events.push(complete, seq, r);
                 issued += 1;
             }
         }
@@ -1138,7 +1165,7 @@ impl<'p> Core<'p> {
             }
             self.iq_mut(kind).count += 1;
             if unknown == 0 {
-                self.iq_mut(kind).push_ready(ready_lb, d.seq, front);
+                self.iq_mut(kind).ready.push(ready_lb, d.seq, front);
             }
             match class {
                 ExecClass::Load => self.ldq.push(LdqEntry {
@@ -1316,7 +1343,7 @@ impl<'p> Core<'p> {
     /// [`Core::try_run_for`]) or the core makes no forward progress for
     /// an extended period.
     pub fn run_for(&mut self, max_cycles: u64, observers: &mut [&mut dyn Observer]) -> SimStats {
-        self.run_for_with(max_cycles, &mut DynObservers(observers))
+        self.run_for_with(max_cycles, observers)
     }
 
     /// Runs to completion, surfacing architectural program faults as
@@ -1340,50 +1367,51 @@ impl<'p> Core<'p> {
         max_cycles: u64,
         observers: &mut [&mut dyn Observer],
     ) -> Result<SimStats, SimError> {
-        self.try_run_for_with(max_cycles, &mut DynObservers(observers))
+        self.try_run_for_with(max_cycles, observers)
     }
 
-    /// [`Core::run`] against a statically typed [`ObserverHost`] (a
-    /// single observer, or an enum-dispatched set): observer delivery
-    /// monomorphizes into the cycle loop instead of going through the
-    /// `dyn Observer` vtable.
+    /// [`Core::run`] driving one [`Observer`] of any type. A concrete
+    /// observer or set (such as `tea-core`'s `ObserverSet`) has its
+    /// notifications inlined into the cycle loop; the
+    /// `[&mut dyn Observer]` slice behind [`Core::run`] is one such
+    /// observer too.
     ///
     /// # Panics
     ///
     /// As [`Core::run`].
-    pub fn run_with<H: ObserverHost + ?Sized>(&mut self, host: &mut H) -> SimStats {
-        self.run_for_with(u64::MAX, host)
+    pub fn run_with<O: Observer + ?Sized>(&mut self, observer: &mut O) -> SimStats {
+        self.run_for_with(u64::MAX, observer)
     }
 
-    /// [`Core::run_for`] against a statically typed [`ObserverHost`].
+    /// [`Core::run_for`] driving one [`Observer`] of any type.
     ///
     /// # Panics
     ///
     /// As [`Core::run_for`].
-    pub fn run_for_with<H: ObserverHost + ?Sized>(
+    pub fn run_for_with<O: Observer + ?Sized>(
         &mut self,
         max_cycles: u64,
-        host: &mut H,
+        observer: &mut O,
     ) -> SimStats {
-        self.try_run_for_with(max_cycles, host)
+        self.try_run_for_with(max_cycles, observer)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Core::try_run`] against a statically typed [`ObserverHost`].
+    /// [`Core::try_run`] driving one [`Observer`] of any type.
     ///
     /// # Errors
     ///
     /// See [`Core::try_run_for_with`].
-    pub fn try_run_with<H: ObserverHost + ?Sized>(
+    pub fn try_run_with<O: Observer + ?Sized>(
         &mut self,
-        host: &mut H,
+        observer: &mut O,
     ) -> Result<SimStats, SimError> {
-        self.try_run_for_with(u64::MAX, host)
+        self.try_run_for_with(u64::MAX, observer)
     }
 
-    /// Runs for at most `max_cycles`, driving an [`ObserverHost`],
-    /// surfacing architectural program faults as values. This is the
-    /// engine's one cycle loop; every other run entry point wraps it.
+    /// Runs for at most `max_cycles`, driving `observer`, surfacing
+    /// architectural program faults as values. This is the engine's one
+    /// cycle loop; every other run entry point wraps it.
     ///
     /// # Errors
     ///
@@ -1395,10 +1423,10 @@ impl<'p> Core<'p> {
     /// replayed trace fails integrity checks mid-run; the experiment
     /// engine reacts by quarantining the trace and re-running the cell
     /// live.
-    pub fn try_run_for_with<H: ObserverHost + ?Sized>(
+    pub fn try_run_for_with<O: Observer + ?Sized>(
         &mut self,
         max_cycles: u64,
-        host: &mut H,
+        observer: &mut O,
     ) -> Result<SimStats, SimError> {
         // One span per run segment (never per cycle): the frame the
         // obs sampler's folded stacks attribute simulation time to.
@@ -1422,7 +1450,7 @@ impl<'p> Core<'p> {
             }
             // Squash notifications precede the cycle view so profilers
             // re-key delayed samples before attributing this cycle.
-            self.notify_squashes(host);
+            self.notify_squashes(observer);
             let view = CycleView {
                 cycle: self.cycle,
                 state: snapshot.state,
@@ -1433,9 +1461,9 @@ impl<'p> Core<'p> {
                 dispatched: &self.dispatched_buf,
                 fetched: &self.fetched_buf,
             };
-            host.deliver_cycle(&view);
+            observer.on_cycle(&view);
             if !self.retired_buf.is_empty() {
-                host.deliver_commit_batch(&self.retired_buf);
+                observer.on_commit_batch(&self.retired_buf);
             }
             // Probe before cloning: the clone of the (almost always
             // absent) error used to run every cycle.
@@ -1506,7 +1534,7 @@ impl<'p> Core<'p> {
                         dispatched: &self.dispatched_buf,
                         fetched: &self.fetched_buf,
                     };
-                    host.deliver_stall_run(&view, n);
+                    observer.on_stall_run(&view, n);
                     self.skipped_cycles += n;
                     self.stall_runs += 1;
                     step = n + 1;
@@ -1520,8 +1548,8 @@ impl<'p> Core<'p> {
         if self.halt_committed {
             // A squash raised in the halt-committing cycle's later
             // pipeline phases must still reach observers.
-            self.notify_squashes(host);
-            host.deliver_finish(self.stats.cycles);
+            self.notify_squashes(observer);
+            observer.on_finish(self.stats.cycles);
             #[cfg(feature = "obs")]
             self.publish_obs_metrics();
         }
@@ -1563,15 +1591,15 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Delivers (and drains) any buffered squash notifications to every
+    /// Delivers (and drains) any buffered squash notifications to the
     /// observer. No-op when nothing was squashed, so the per-cycle call
     /// costs one emptiness check.
-    fn notify_squashes<H: ObserverHost + ?Sized>(&mut self, host: &mut H) {
+    fn notify_squashes<O: Observer + ?Sized>(&mut self, observer: &mut O) {
         if self.squashed_buf.is_empty() {
             return;
         }
         for &from_seq in &self.squashed_buf {
-            host.deliver_squash(from_seq);
+            observer.on_squash(from_seq);
         }
         self.squashed_buf.clear();
     }
@@ -1793,6 +1821,29 @@ mod tests {
         }
     }
 
+    /// Regression: a squash burst must not leave an event queue holding
+    /// its peak capacity for the rest of the run.
+    #[test]
+    fn burst_capacity_shrinks_after_drain() {
+        let mut q = HeapQueue::default();
+        // Burst: thousands of same-cycle entries (a squash wave).
+        for i in 0..4096u32 {
+            q.push(10, u64::from(i), SlotRef { idx: i, gen: 0 });
+        }
+        assert!(q.heap.capacity() >= 4096);
+        while q.pop_due(10).is_some() {}
+        // Steady state afterwards: small pushes and drains.
+        for c in 11..200u64 {
+            q.push(c + 3, c, SlotRef { idx: 0, gen: 0 });
+            while q.pop_due(c).is_some() {}
+        }
+        assert!(
+            q.heap.capacity() <= 2 * QUEUE_SHRINK_FLOOR,
+            "queue still holds burst capacity {}",
+            q.heap.capacity()
+        );
+    }
+
     /// A strided-load loop whose loads miss the LLC: long commit stalls,
     /// the fast-forward path's bread and butter.
     fn strided_program(iters: i64) -> Program {
@@ -1908,10 +1959,10 @@ mod tests {
     /// way to reach it from a correct timing model is surgery like
     /// this.
     fn starve(core: &mut Core<'_>) {
-        core.events.clear();
-        core.int_q.ready.clear();
-        core.mem_q.ready.clear();
-        core.fp_q.ready.clear();
+        core.events.heap.clear();
+        core.int_q.ready.heap.clear();
+        core.mem_q.ready.heap.clear();
+        core.fp_q.ready.heap.clear();
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod core;
 pub mod error;
 pub mod hierarchy;
 pub mod psv;
-pub mod queue;
 mod slab;
 pub mod smt;
 pub mod system;
@@ -62,4 +61,4 @@ pub use crate::core::{simulate, Core, CycleBreakdown, SimStats};
 pub use config::SimConfig;
 pub use error::SimError;
 pub use psv::{CommitState, Event, Psv};
-pub use trace::{CycleView, DynObservers, InstRef, Observer, ObserverHost, RetiredInst};
+pub use trace::{CycleView, InstRef, Observer, RetiredInst};

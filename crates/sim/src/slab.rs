@@ -1,14 +1,9 @@
-//! Generation-checked slot slab and fixed-capacity ring buffers for the
-//! core's pipeline state.
+//! The generation-checked slot pool behind the core's pipeline state.
 //!
 //! Every in-flight instruction lives in one [`Slot`] of a [`Slab`]
 //! allocated once at core construction; [`SlotRef`]s carry the slot
 //! index plus a generation stamp so references into squashed
 //! instructions go stale instead of aliasing the slot's next tenant.
-//! The ROB, fetch buffer and store queue are [`Ring`]s — power-of-two
-//! ring buffers over `Copy` entries whose capacity is fixed by the
-//! configuration, so the per-instruction push/pop path is an index mask
-//! away from an array write, with no growth checks or reallocation.
 
 use tea_isa::interp::DynInst;
 use tea_isa::Inst;
@@ -167,205 +162,9 @@ impl std::ops::IndexMut<u32> for Slab {
     }
 }
 
-/// A fixed-capacity power-of-two ring buffer over `Copy` entries.
-///
-/// Capacity is rounded up to a power of two at construction and never
-/// changes; push/pop are mask-and-index operations. The element type
-/// must provide a fill value so the backing storage can be initialized
-/// without `unsafe`.
-#[derive(Debug)]
-pub(crate) struct Ring<T: Copy> {
-    buf: Box<[T]>,
-    head: usize,
-    len: usize,
-    mask: usize,
-}
-
-impl<T: Copy> Ring<T> {
-    /// A ring holding at least `cap` entries, pre-filled with `fill`
-    /// (never observed through the public API).
-    pub(crate) fn new(cap: usize, fill: T) -> Self {
-        let cap = cap.next_power_of_two().max(4);
-        Ring {
-            buf: vec![fill; cap].into_boxed_slice(),
-            head: 0,
-            len: 0,
-            mask: cap - 1,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    #[allow(dead_code)] // natural pair of `len`; kept for clippy's len-without-is-empty
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    pub(crate) fn front(&self) -> Option<&T> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(&self.buf[self.head])
-        }
-    }
-
-    #[inline]
-    pub(crate) fn back(&self) -> Option<&T> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(&self.buf[(self.head + self.len - 1) & self.mask])
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push_back(&mut self, v: T) {
-        debug_assert!(self.len <= self.mask, "ring over capacity");
-        self.buf[(self.head + self.len) & self.mask] = v;
-        self.len += 1;
-    }
-
-    #[inline]
-    pub(crate) fn pop_front(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let v = self.buf[self.head];
-        self.head = (self.head + 1) & self.mask;
-        self.len -= 1;
-        Some(v)
-    }
-
-    #[inline]
-    pub(crate) fn pop_back(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        Some(self.buf[(self.head + self.len) & self.mask])
-    }
-
-    /// The occupied span as (at most) two contiguous slices, front
-    /// half first.
-    fn as_slices(&self) -> (&[T], &[T]) {
-        let cap = self.buf.len();
-        let end = self.head + self.len;
-        if end <= cap {
-            (&self.buf[self.head..end], &[])
-        } else {
-            let (lo, hi) = self.buf.split_at(self.head);
-            (hi, &lo[..end - cap])
-        }
-    }
-
-    fn as_mut_slices(&mut self) -> (&mut [T], &mut [T]) {
-        let cap = self.buf.len();
-        let end = self.head + self.len;
-        if end <= cap {
-            (&mut self.buf[self.head..end], &mut [])
-        } else {
-            let (lo, hi) = self.buf.split_at_mut(self.head);
-            let take = end - cap;
-            (hi, &mut lo[..take])
-        }
-    }
-
-    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
-        let (a, b) = self.as_slices();
-        a.iter().chain(b.iter())
-    }
-
-    pub(crate) fn iter_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut T> {
-        let (a, b) = self.as_mut_slices();
-        a.iter_mut().chain(b.iter_mut())
-    }
-}
-
-impl<T: Copy> std::ops::Index<usize> for Ring<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        debug_assert!(i < self.len);
-        &self.buf[(self.head + i) & self.mask]
-    }
-}
-
-impl<T: Copy> std::ops::IndexMut<usize> for Ring<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        &mut self.buf[(self.head + i) & self.mask]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_wraps_and_iterates_in_order() {
-        let mut r: Ring<u32> = Ring::new(4, 0);
-        for round in 0..5u32 {
-            let base = round * 3;
-            r.push_back(base);
-            r.push_back(base + 1);
-            r.push_back(base + 2);
-            assert_eq!(r.len(), 3);
-            assert_eq!(
-                r.iter().copied().collect::<Vec<_>>(),
-                vec![base, base + 1, base + 2]
-            );
-            assert_eq!(
-                r.iter().rev().copied().collect::<Vec<_>>(),
-                vec![base + 2, base + 1, base]
-            );
-            assert_eq!(r.front(), Some(&base));
-            assert_eq!(r.back(), Some(&(base + 2)));
-            assert_eq!(r[1], base + 1);
-            assert_eq!(r.pop_front(), Some(base));
-            assert_eq!(r.pop_back(), Some(base + 2));
-            assert_eq!(r.pop_front(), Some(base + 1));
-            assert!(r.is_empty());
-        }
-    }
-
-    #[test]
-    fn ring_fills_to_full_power_of_two_capacity() {
-        let mut r: Ring<u32> = Ring::new(5, 0); // rounds up to 8
-        for i in 0..8u32 {
-            r.push_back(i);
-        }
-        assert_eq!(r.len(), 8);
-        assert_eq!(
-            r.iter().copied().collect::<Vec<_>>(),
-            (0..8).collect::<Vec<_>>()
-        );
-        for i in 0..8u32 {
-            assert_eq!(r.pop_front(), Some(i));
-        }
-    }
-
-    #[test]
-    fn ring_iter_mut_sees_both_halves() {
-        let mut r: Ring<u32> = Ring::new(4, 0);
-        r.push_back(0);
-        r.push_back(1);
-        r.pop_front();
-        r.pop_front();
-        // head is now mid-buffer; wrap the occupied span.
-        for i in 10..13u32 {
-            r.push_back(i);
-        }
-        for v in r.iter_mut() {
-            *v += 1;
-        }
-        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![11, 12, 13]);
-    }
 
     #[test]
     fn slab_generation_stales_old_refs() {

@@ -184,86 +184,39 @@ impl Observer for NullObserver {
     fn on_retire(&mut self, _retired: &RetiredInst) {}
 }
 
-/// The simulation loop's delivery target: one value receiving every
-/// notification of a run.
-///
-/// [`Core::run_with`](crate::Core::run_with) and friends are generic
-/// over this trait, so a statically typed host — a single concrete
-/// observer, or an enum-dispatched set like `tea-core`'s
-/// `ObserverSet` — lets `deliver_cycle`/`deliver_commit_batch`/
-/// `deliver_stall_run` inline into the cycle loop with no virtual
-/// calls. The blanket implementation makes every [`Observer`] a host of
-/// itself, and [`DynObservers`] adapts the classic
-/// `&mut [&mut dyn Observer]` slice, which remains the public `run`
-/// API.
-pub trait ObserverHost {
-    /// Delivers one cycle's [`CycleView`]; see [`Observer::on_cycle`].
-    fn deliver_cycle(&mut self, view: &CycleView<'_>);
-    /// Delivers one cycle's retirements; see
-    /// [`Observer::on_commit_batch`].
-    fn deliver_commit_batch(&mut self, batch: &[RetiredInst]);
-    /// Delivers a fast-forwarded stall run; see
-    /// [`Observer::on_stall_run`].
-    fn deliver_stall_run(&mut self, view: &CycleView<'_>, n: u64);
-    /// Delivers a pipeline squash; see [`Observer::on_squash`].
-    fn deliver_squash(&mut self, from_seq: u64);
-    /// Delivers the end of the run; see [`Observer::on_finish`].
-    fn deliver_finish(&mut self, total_cycles: u64);
-}
-
-impl<T: Observer + ?Sized> ObserverHost for T {
-    #[inline]
-    fn deliver_cycle(&mut self, view: &CycleView<'_>) {
-        self.on_cycle(view);
-    }
-    #[inline]
-    fn deliver_commit_batch(&mut self, batch: &[RetiredInst]) {
-        self.on_commit_batch(batch);
-    }
-    #[inline]
-    fn deliver_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
-        self.on_stall_run(view, n);
-    }
-    #[inline]
-    fn deliver_squash(&mut self, from_seq: u64) {
-        self.on_squash(from_seq);
-    }
-    #[inline]
-    fn deliver_finish(&mut self, total_cycles: u64) {
-        self.on_finish(total_cycles);
-    }
-}
-
-/// [`ObserverHost`] over a slice of boxed-or-borrowed dynamic
-/// observers: each notification loops over the slice through the
-/// vtable. This is the escape hatch behind the classic
-/// [`Core::run`](crate::Core::run) signature; hosts that know their
-/// observer set statically skip it.
-pub struct DynObservers<'r, 'o>(pub &'r mut [&'o mut dyn Observer]);
-
-impl ObserverHost for DynObservers<'_, '_> {
-    fn deliver_cycle(&mut self, view: &CycleView<'_>) {
-        for obs in self.0.iter_mut() {
+/// A slice of observers is one observer: every notification goes to
+/// each member in order, through the vtable. This is what the classic
+/// [`Core::run`](crate::Core::run) signature drives; a caller that
+/// knows its observer types statically passes them to
+/// [`Core::run_with`](crate::Core::run_with) instead.
+impl Observer for [&mut dyn Observer] {
+    fn on_cycle(&mut self, view: &CycleView<'_>) {
+        for obs in self.iter_mut() {
             obs.on_cycle(view);
         }
     }
-    fn deliver_commit_batch(&mut self, batch: &[RetiredInst]) {
-        for obs in self.0.iter_mut() {
+    fn on_retire(&mut self, retired: &RetiredInst) {
+        for obs in self.iter_mut() {
+            obs.on_retire(retired);
+        }
+    }
+    fn on_commit_batch(&mut self, batch: &[RetiredInst]) {
+        for obs in self.iter_mut() {
             obs.on_commit_batch(batch);
         }
     }
-    fn deliver_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
-        for obs in self.0.iter_mut() {
+    fn on_stall_run(&mut self, view: &CycleView<'_>, n: u64) {
+        for obs in self.iter_mut() {
             obs.on_stall_run(view, n);
         }
     }
-    fn deliver_squash(&mut self, from_seq: u64) {
-        for obs in self.0.iter_mut() {
+    fn on_squash(&mut self, from_seq: u64) {
+        for obs in self.iter_mut() {
             obs.on_squash(from_seq);
         }
     }
-    fn deliver_finish(&mut self, total_cycles: u64) {
-        for obs in self.0.iter_mut() {
+    fn on_finish(&mut self, total_cycles: u64) {
+        for obs in self.iter_mut() {
             obs.on_finish(total_cycles);
         }
     }

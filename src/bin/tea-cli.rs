@@ -136,7 +136,10 @@ fn parse_args() -> Result<Args, String> {
             "--interval" => {
                 args.interval = grab("--interval")?
                     .parse()
-                    .map_err(|e| format!("bad interval: {e}"))?
+                    .map_err(|e| format!("bad interval: {e}"))?;
+                if args.interval == 0 {
+                    return Err("bad interval: a sampling interval must be at least 1 cycle".into());
+                }
             }
             "--top" => {
                 args.top = grab("--top")?
@@ -220,8 +223,8 @@ fn parse_args() -> Result<Args, String> {
 /// The core configuration the CLI's commands run under:
 /// [`SimConfig::default`] with stall fast-forward switched off when
 /// `--no-fast-forward` was given. The two settings produce bit-identical
-/// artifacts (CI's fast-forward-identity job holds them to that);
-/// disabling exists for cross-checks and debugging.
+/// artifacts (`crates/exp/tests/fast_forward_identity.rs` holds the
+/// engine to that); disabling exists for cross-checks and debugging.
 fn sim_config(args: &Args) -> SimConfig {
     SimConfig {
         fast_forward: !args.no_fast_forward,
@@ -547,9 +550,10 @@ fn cmd_suite(args: &Args, capture: &mut RunCapture) -> Result<(), String> {
     ];
     if let Some(path) = &args.det_json {
         // The deterministic projection (wall-clock fields stripped):
-        // byte-for-byte comparable across thread counts, resumes, and
-        // trace-cache settings. CI's trace-replay-identity job diffs
-        // two of these.
+        // byte-for-byte comparable across thread counts, resumes,
+        // trace-cache and fast-forward settings, as the engine's
+        // `replay_identity.rs` and `fast_forward_identity.rs` tests
+        // require.
         std::fs::write(path, run.deterministic_json().render_pretty())
             .map_err(|e| format!("write {path}: {e}"))?;
         println!("deterministic artifact: {path}");
