@@ -3,17 +3,22 @@
 //! The shared experiment engine behind every TEA harness.
 //!
 //! A run is a matrix of *cells* — one `(workload, core config, scheme
-//! set, sampling interval, seed)` point each. Cells are shared-nothing:
-//! each one owns its program, its core, and its observers, so the
-//! engine fans them out across a scoped thread pool with no
-//! synchronization beyond handing out indices — except one read-only
-//! structure: a per-run [`TraceCache`] interprets each workload once
-//! and every cell of that workload replays the shared
-//! [`tea_isa::CapturedTrace`] (bit-identically; disable with
-//! [`Engine::trace_cache`]). All observers of a cell
-//! ride one [`tea_sim::core::Core::run`] pass (the paper's out-of-band
-//! TraceDoctor methodology: every scheme samples the exact same
-//! cycles).
+//! set, sampling interval, seed)` point each. The timing model never
+//! sees a cell's seed, interval or profilers, so the engine groups the
+//! cells that share a program, config and cycle budget into *timing
+//! passes* of up to [`PASS_MEMBERS`] cells: one
+//! [`tea_sim::core::Core::run`] whose observer set holds one golden
+//! reference plus every member's TIP and scheme observers, each on the
+//! member's own sampling timer. This is the paper's out-of-band
+//! TraceDoctor methodology — one run, many profilers — applied across
+//! cells as well as within one. Passes fan
+//! out across a scoped thread pool with no synchronization beyond
+//! handing out indices, except one read-only structure: a per-run
+//! [`TraceCache`] interprets each workload once and every pass of that
+//! workload replays the shared [`tea_isa::CapturedTrace`]
+//! (bit-identically; disable with [`Engine::trace_cache`]). Each member
+//! still gets its own result, journal record and progress events; its
+//! wall is its share of the pass.
 //!
 //! Results come back in cell order regardless of completion order, so
 //! a parallel run is bit-identical to a serial one — the simulator and
@@ -23,8 +28,10 @@
 //! [`RunResult::write_artifact`] drops it under `target/experiments/`
 //! atomically (temp file + rename).
 //!
-//! The engine is fault-tolerant: each cell body runs under
-//! `catch_unwind`, so a panicking cell becomes a [`CellStatus::Failed`]
+//! The engine is fault-tolerant: each pass runs under `catch_unwind`,
+//! and a shared pass that fails re-runs each member alone (cells that
+//! can fail on their own — injected faults — always run alone), so a
+//! panicking cell becomes a [`CellStatus::Failed`]
 //! outcome carrying a structured [`ExpError`] instead of tearing down
 //! the pool; transient failures are retried with capped deterministic
 //! backoff ([`Engine::max_retries`]); a per-cell cycle budget turns
@@ -102,6 +109,13 @@ pub const DEFAULT_INTERVAL: u64 = 512;
 
 /// Deterministic jitter seed shared by the harnesses.
 pub const DEFAULT_SEED: u64 = 42;
+
+/// Most cells one timing pass holds. A pass runs on one worker, so if
+/// every cell of a key rode one pass, a sweep's longest program would
+/// hold one worker for most of the run while the others ran out of
+/// work. In pairs, a four-seed sweep of that program spreads over two
+/// workers, and each pair still halves the program's timing work.
+pub const PASS_MEMBERS: usize = 2;
 
 /// One point of an experiment matrix: a program simulated under one
 /// core configuration with one set of observers.
@@ -293,7 +307,10 @@ pub struct CellResult {
     pub pics: HashMap<Scheme, Pics>,
     /// Samples taken per scheme.
     pub samples: HashMap<Scheme, u64>,
-    /// Wall-clock time of the simulation pass.
+    /// Wall-clock time of the simulation pass. Cells that share a
+    /// timing pass (see [`Engine::run`]) each get an equal share of
+    /// the pass's wall, so a member's wall is its amortized share and
+    /// the walls of a run's cells still sum to the host time spent.
     pub wall: Duration,
 }
 
@@ -433,8 +450,8 @@ impl std::fmt::Debug for ProgressSinks {
     }
 }
 
-/// A unit of work handed to the pool: a spec to run, or an outcome
-/// restored from the resume journal.
+/// One cell of a run's input: a spec to run, or an outcome restored
+/// from the resume journal.
 enum CellWork {
     Run(Box<CellSpec>),
     Restored(Box<CellOutcome>),
@@ -444,6 +461,19 @@ impl CellWork {
     fn run(spec: CellSpec) -> Self {
         CellWork::Run(Box::new(spec))
     }
+}
+
+/// A unit of work handed to the pool (see [`Engine::plan`]): one timing
+/// pass over up to [`PASS_MEMBERS`] cells that share its key, or a
+/// restored outcome.
+enum Pass {
+    Run {
+        /// `(index, spec)` of each member, in cell order.
+        members: Vec<(usize, CellSpec)>,
+        /// Content fingerprint of the members' program.
+        program_key: u64,
+    },
+    Restored(Box<CellOutcome>),
 }
 
 impl Engine {
@@ -521,7 +551,9 @@ impl Engine {
 
     /// Stops claiming new cells after the first failure; unclaimed
     /// cells finish as [`CellStatus::Skipped`]. Cells already in flight
-    /// run to completion.
+    /// run to completion, and the members of a claimed timing pass
+    /// (cells sharing one simulation, see [`Engine::run`]) finish
+    /// together.
     #[must_use]
     pub fn fail_fast(mut self) -> Self {
         self.fail_fast = true;
@@ -603,6 +635,13 @@ impl Engine {
     /// results do not depend on which worker ran which cell, so a
     /// parallel run is bit-identical to [`Engine::serial`] (over
     /// [`RunResult::deterministic_json`]).
+    ///
+    /// Cells that differ only in their profilers (seed, interval,
+    /// schemes, golden, TIP) share timing passes: the simulator runs
+    /// once per [`PASS_MEMBERS`] cells of one (program, config, cycle
+    /// budget) and feeds every member's observers from the same cycle
+    /// stream. Parallelism therefore comes from passes, not cells — a
+    /// matrix with fewer passes than workers runs fewer at once.
     ///
     /// A failing cell never tears down the run: its panic or error is
     /// captured as a [`CellStatus::Failed`] / [`CellStatus::TimedOut`]
@@ -748,8 +787,8 @@ impl Engine {
                 });
             }
         }
-        // One trace cache serves the whole run: the first cell of each
-        // workload interprets it, every later cell replays the capture.
+        // One trace cache serves the whole run: the first pass of each
+        // workload interprets it, every later pass replays the capture.
         // A caller-owned cache (Engine::run_with_cache) takes priority
         // and survives the run, sharing captures across runs.
         let own_cache = (shared_cache.is_none() && self.trace_cache).then(|| {
@@ -763,17 +802,21 @@ impl Engine {
             cache
         });
         let cache = shared_cache.or(own_cache.as_ref());
-        // Cells are handed to exactly one worker each (shared-nothing);
-        // the slot Mutexes only guard the ownership transfer.
-        let slots: Vec<Mutex<Option<CellWork>>> =
-            work.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        // Passes are handed to exactly one worker each; the slot
+        // Mutexes only guard the ownership transfer.
+        let slots: Vec<Mutex<Option<Pass>>> = self
+            .plan(work)
+            .into_iter()
+            .map(|p| Mutex::new(Some(p)))
+            .collect();
         let results: Vec<Mutex<Option<CellOutcome>>> =
             (0..total).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        // Heartbeat inputs: cells currently executing, and finished
-        // fresh-cell wall times feeding the ETA estimate.
+        // Heartbeat inputs: passes currently executing (at most one per
+        // worker), and finished fresh-cell wall times feeding the ETA
+        // estimate.
         let running = AtomicUsize::new(0);
         let finished_walls: Mutex<Vec<f64>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
@@ -789,38 +832,10 @@ impl Engine {
                 s.spawn(move || {
                     tea_obs::set_thread_name(&format!("engine-worker-{worker}"));
                     let _sinks = progress::install_current(&self.progress_sinks.0);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        queue_depth.add(-1);
-                        // Slot locks only transfer ownership of complete
-                        // values; recover from poisoning (a panicking
-                        // sibling worker) rather than cascade the wedge.
-                        let work = trace_cache::lock_recover(&slots[i])
-                            .take()
-                            .expect("each cell is claimed exactly once");
-                        let outcome = match work {
-                            CellWork::Restored(outcome) => *outcome,
-                            CellWork::Run(spec) => {
-                                if self.fail_fast && abort.load(Ordering::Relaxed) {
-                                    CellOutcome::skipped(i, *spec)
-                                } else {
-                                    self.emit_progress(&ProgressEvent::CellStart {
-                                        ts_ns: tea_obs::now_ns(),
-                                        index: i,
-                                        workload: spec.workload.to_string(),
-                                        config: spec.config_name.to_string(),
-                                        worker,
-                                    });
-                                    running.fetch_add(1, Ordering::Relaxed);
-                                    let outcome = self.run_cell_traced(i, *spec, cache);
-                                    running.fetch_sub(1, Ordering::Relaxed);
-                                    outcome
-                                }
-                            }
-                        };
+                    // Books one finished cell: journal record, progress
+                    // line and event, result slot.
+                    let finish = |outcome: CellOutcome| {
+                        let i = outcome.index;
                         if self.fail_fast && outcome.status != CellStatus::Ok {
                             abort.store(true, Ordering::Relaxed);
                         }
@@ -855,6 +870,51 @@ impl Engine {
                             total,
                         });
                         *trace_cache::lock_recover(&results[i]) = Some(outcome);
+                    };
+                    loop {
+                        let p = next.fetch_add(1, Ordering::Relaxed);
+                        if p >= slots.len() {
+                            break;
+                        }
+                        // Slot locks only transfer ownership of complete
+                        // values; recover from poisoning (a panicking
+                        // sibling worker) rather than cascade the wedge.
+                        let pass = trace_cache::lock_recover(&slots[p])
+                            .take()
+                            .expect("each pass is claimed exactly once");
+                        let (members, program_key) = match pass {
+                            Pass::Restored(outcome) => {
+                                queue_depth.add(-1);
+                                finish(*outcome);
+                                continue;
+                            }
+                            Pass::Run {
+                                members,
+                                program_key,
+                            } => (members, program_key),
+                        };
+                        queue_depth.add(-i64::try_from(members.len()).unwrap_or(i64::MAX));
+                        if self.fail_fast && abort.load(Ordering::Relaxed) {
+                            for (i, spec) in members {
+                                finish(CellOutcome::skipped(i, spec));
+                            }
+                            continue;
+                        }
+                        for (i, spec) in &members {
+                            self.emit_progress(&ProgressEvent::CellStart {
+                                ts_ns: tea_obs::now_ns(),
+                                index: *i,
+                                workload: spec.workload.to_string(),
+                                config: spec.config_name.to_string(),
+                                worker,
+                            });
+                        }
+                        running.fetch_add(1, Ordering::Relaxed);
+                        let outcomes = self.run_pass_traced(members, program_key, cache);
+                        running.fetch_sub(1, Ordering::Relaxed);
+                        for outcome in outcomes {
+                            finish(outcome);
+                        }
                     }
                 });
             }
@@ -939,25 +999,97 @@ impl Engine {
         }
     }
 
-    /// Wraps one fresh cell in its tracing span (the cell's lane entry
-    /// in a Chrome trace, on the executing worker's thread) and start
-    /// event, then runs it.
-    fn run_cell_traced(
+    /// Groups a run's cells into timing passes. The timing model sees a
+    /// cell's program, config and cycle budget — never its seed,
+    /// interval or profilers — so the cells that agree on those three
+    /// (the pass *key*) share one simulation, up to [`PASS_MEMBERS`] of
+    /// them in cell order. Cells that can fail on their own run alone:
+    /// an injected [`Fault`], a chaos observer fault, or interval 0.
+    /// Passes are formed from the cell list only, never from the worker
+    /// count, and queued by their first member's index.
+    fn plan(&self, work: Vec<CellWork>) -> Vec<Pass> {
+        let mut passes = Vec::new();
+        let mut open: HashMap<(u64, u64, Option<u64>), usize> = HashMap::new();
+        for (index, w) in work.into_iter().enumerate() {
+            let spec = match w {
+                CellWork::Run(spec) => *spec,
+                CellWork::Restored(outcome) => {
+                    passes.push(Pass::Restored(outcome));
+                    continue;
+                }
+            };
+            let program_key = trace_cache::program_fingerprint(&spec.program);
+            let alone = spec.fault.is_some()
+                || spec.interval == 0
+                || self
+                    .chaos
+                    .as_ref()
+                    .is_some_and(|c| c.observer_fault(index).is_some());
+            let key = (
+                program_key,
+                trace_cache::config_fingerprint(&spec.config),
+                spec.budget.or(self.cell_budget),
+            );
+            if let Some(&p) = open.get(&key).filter(|_| !alone) {
+                let Pass::Run { members, .. } = &mut passes[p] else {
+                    unreachable!("open keys index run passes")
+                };
+                members.push((index, spec));
+                if members.len() == PASS_MEMBERS {
+                    open.remove(&key);
+                }
+                continue;
+            }
+            if !alone {
+                open.insert(key, passes.len());
+            }
+            passes.push(Pass::Run {
+                members: vec![(index, spec)],
+                program_key,
+            });
+        }
+        passes
+    }
+
+    /// Wraps one pass in its tracing span (a `cell` entry on the
+    /// executing worker's lane of a Chrome trace, named after the first
+    /// member and stamped with the member count and the pass wall) and
+    /// each member's start event, then runs it.
+    fn run_pass_traced(
         &self,
-        index: usize,
-        spec: CellSpec,
+        members: Vec<(usize, CellSpec)>,
+        program_key: u64,
         cache: Option<&TraceCache>,
-    ) -> CellOutcome {
-        let fields = cell_fields(index, &spec);
-        let mut span = tea_obs::span(Level::Debug, ENGINE_TARGET, "cell", &fields);
-        tea_obs::event(self.event_level(), ENGINE_TARGET, "cell start", &fields);
-        let outcome = self.execute_cell(index, spec, cache);
-        span.record("status", outcome.status.name());
-        span.record("attempts", u64::from(outcome.attempts));
-        if let CellData::Failed(e) = &outcome.data {
+    ) -> Vec<CellOutcome> {
+        let (index, lead) = &members[0];
+        let mut span = tea_obs::span(
+            Level::Debug,
+            ENGINE_TARGET,
+            "cell",
+            &cell_fields(*index, lead),
+        );
+        span.record("members", members.len());
+        for (i, spec) in &members {
+            tea_obs::event(
+                self.event_level(),
+                ENGINE_TARGET,
+                "cell start",
+                &cell_fields(*i, spec),
+            );
+        }
+        let outcomes = self.execute_pass(members, program_key, cache);
+        let first = &outcomes[0];
+        span.record("status", first.status.name());
+        span.record("attempts", u64::from(first.attempts));
+        if let CellData::Failed(e) = &first.data {
             span.record("cause", e.kind());
         }
-        outcome
+        let wall: Duration = outcomes.iter().map(|o| o.wall).sum();
+        span.record(
+            "wall_ns",
+            u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+        );
+        outcomes
     }
 
     /// Emits the per-cell finish event carrying the old stderr progress
@@ -996,72 +1128,113 @@ impl Engine {
         );
     }
 
-    /// Runs one cell under `catch_unwind` with retry and backoff.
-    fn execute_cell(
+    /// Runs one pass under `catch_unwind` with retry and backoff, to
+    /// one outcome per member, in member order. The members of a pass
+    /// that succeeds split its wall evenly. When a shared pass fails,
+    /// each member re-runs alone (its share of the failed pass added to
+    /// its wall), so its status, attempts and error are its own.
+    fn execute_pass(
         &self,
-        index: usize,
-        spec: CellSpec,
+        members: Vec<(usize, CellSpec)>,
+        program_key: u64,
         cache: Option<&TraceCache>,
-    ) -> CellOutcome {
+    ) -> Vec<CellOutcome> {
         let t0 = Instant::now();
-        let budget = spec.budget.or(self.cell_budget);
+        let budget = members[0].1.budget.or(self.cell_budget);
+        let chaos = self.chaos.as_deref();
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match run_cell_guarded(index, &spec, attempt, budget, cache, self.chaos.as_deref()) {
-                Ok(result) => {
-                    return CellOutcome {
-                        index,
-                        spec,
-                        status: CellStatus::Ok,
-                        attempts: attempt,
-                        wall: t0.elapsed(),
-                        data: CellData::Fresh(Box::new(result)),
-                    }
-                }
-                Err(e) => {
-                    if e.is_transient() && attempt <= self.max_retries {
-                        let delay = backoff_delay(self.backoff, self.backoff_cap, attempt);
-                        tea_obs::warn(
-                            ENGINE_TARGET,
-                            "cell retrying",
-                            &[
-                                ("index", Value::from(index)),
-                                ("workload", Value::str(&*spec.workload)),
-                                ("attempt", Value::from(u64::from(attempt))),
-                                ("cause", Value::str(e.kind())),
-                                ("message", Value::str(e.to_string())),
-                                ("backoff_ms", Value::from(delay.as_millis() as u64)),
-                            ],
-                        );
-                        metrics().counter("engine.retries").inc();
-                        self.emit_progress(&ProgressEvent::CellRetry {
-                            ts_ns: tea_obs::now_ns(),
+            let e = match run_pass_guarded(
+                &members,
+                Some(program_key),
+                attempt,
+                budget,
+                cache,
+                chaos,
+            ) {
+                Ok(results) => {
+                    let walls = shares(t0.elapsed(), members.len());
+                    return members
+                        .into_iter()
+                        .zip(results)
+                        .zip(walls)
+                        .map(|(((index, spec), result), wall)| CellOutcome {
                             index,
-                            attempt,
-                            cause: e.kind().to_string(),
-                        });
-                        if delay > Duration::ZERO {
-                            std::thread::sleep(delay);
-                        }
-                        continue;
-                    }
-                    let status = match e {
-                        ExpError::Timeout { .. } => CellStatus::TimedOut,
-                        _ => CellStatus::Failed,
-                    };
-                    return CellOutcome {
-                        index,
-                        spec,
-                        status,
-                        attempts: attempt,
-                        wall: t0.elapsed(),
-                        data: CellData::Failed(e),
-                    };
+                            spec,
+                            status: CellStatus::Ok,
+                            attempts: attempt,
+                            wall,
+                            data: CellData::Fresh(Box::new(result)),
+                        })
+                        .collect();
                 }
+                Err(e) => e,
+            };
+            if members.len() > 1 {
+                let walls = shares(t0.elapsed(), members.len());
+                return members
+                    .into_iter()
+                    .zip(walls)
+                    .flat_map(|(member, wasted)| {
+                        let mut alone = self.execute_pass(vec![member], program_key, cache);
+                        alone[0].wall += wasted;
+                        alone
+                    })
+                    .collect();
             }
+            let (index, spec) = &members[0];
+            if e.is_transient() && attempt <= self.max_retries {
+                let delay = backoff_delay(self.backoff, self.backoff_cap, attempt);
+                tea_obs::warn(
+                    ENGINE_TARGET,
+                    "cell retrying",
+                    &[
+                        ("index", Value::from(*index)),
+                        ("workload", Value::str(&*spec.workload)),
+                        ("attempt", Value::from(u64::from(attempt))),
+                        ("cause", Value::str(e.kind())),
+                        ("message", Value::str(e.to_string())),
+                        ("backoff_ms", Value::from(delay.as_millis() as u64)),
+                    ],
+                );
+                metrics().counter("engine.retries").inc();
+                self.emit_progress(&ProgressEvent::CellRetry {
+                    ts_ns: tea_obs::now_ns(),
+                    index: *index,
+                    attempt,
+                    cause: e.kind().to_string(),
+                });
+                if delay > Duration::ZERO {
+                    std::thread::sleep(delay);
+                }
+                continue;
+            }
+            let status = match e {
+                ExpError::Timeout { .. } => CellStatus::TimedOut,
+                _ => CellStatus::Failed,
+            };
+            let (index, spec) = members.into_iter().next().expect("a pass has members");
+            return vec![CellOutcome {
+                index,
+                spec,
+                status,
+                attempts: attempt,
+                wall: t0.elapsed(),
+                data: CellData::Failed(e),
+            }];
         }
     }
+}
+
+/// `wall` split into `n` shares that sum to it exactly: a member's wall
+/// is its amortized share of the pass (the leftover nanoseconds go one
+/// each to the first members).
+fn shares(wall: Duration, n: usize) -> impl Iterator<Item = Duration> {
+    let n = u32::try_from(n).expect("a pass has fewer than 2^32 members");
+    let share = wall / n;
+    let left = (wall - share * n).as_nanos();
+    (0..n).map(move |k| share + Duration::from_nanos(u64::from(u128::from(k) < left)))
 }
 
 /// Tracing target of every engine-emitted record.
@@ -1117,20 +1290,19 @@ fn backoff_delay(base: Duration, cap: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << shift).min(cap)
 }
 
-/// Runs one cell attempt with panics captured as [`ExpError::Panic`].
-fn run_cell_guarded(
-    index: usize,
-    spec: &CellSpec,
+/// Runs one pass attempt with panics captured as [`ExpError::Panic`].
+fn run_pass_guarded(
+    members: &[(usize, CellSpec)],
+    program_key: Option<u64>,
     attempt: u32,
     budget: Option<u64>,
     cache: Option<&TraceCache>,
     chaos: Option<&ChaosInjector>,
-) -> Result<CellResult, ExpError> {
+) -> Result<Vec<CellResult>, ExpError> {
     quiet_panics::install();
-    let spec = spec.clone();
     quiet_panics::with_quiet(|| {
         match catch_unwind(AssertUnwindSafe(|| {
-            run_cell_attempt(index, spec, attempt, budget, cache, chaos)
+            run_pass_attempt(members, program_key, attempt, budget, cache, chaos)
         })) {
             Ok(inner) => inner,
             Err(payload) => Err(ExpError::Panic {
@@ -1193,7 +1365,9 @@ mod quiet_panics {
 ///
 /// This is the engine's single-cell entry point for harnesses that run
 /// one spec without a pool: no `catch_unwind`, no retry; the cell's own
-/// [`CellSpec::budget`] applies.
+/// [`CellSpec::budget`] applies. It is the one-member case of the
+/// engine's shared timing pass, so its result equals the cell's result
+/// from any [`Engine::run`].
 ///
 /// # Errors
 ///
@@ -1203,70 +1377,80 @@ mod quiet_panics {
 /// [`ExpError::Injected`] for an injected fault.
 pub fn run_cell(index: usize, spec: CellSpec) -> Result<CellResult, ExpError> {
     let budget = spec.budget;
-    run_cell_attempt(index, spec, 1, budget, None, None)
+    let mut results = run_pass_attempt(&[(index, spec)], None, 1, budget, None, None)?;
+    Ok(results.pop().expect("one member, one result"))
 }
 
-/// One attempt of one cell. `attempt` is 1-based and keys injected
-/// faults; `budget` caps the simulation in simulated cycles; `cache`
-/// supplies a shared captured trace when the engine's trace cache is
-/// on (an uncacheable program falls back to live interpretation);
-/// `chaos` injects deterministic faults at the attempt's seams.
+/// One attempt of one timing pass over `members` — cells that share a
+/// program, config and `budget` (see [`Engine::plan`]). `program_key`
+/// is the program's fingerprint when the caller already has it;
+/// `attempt` is 1-based and keys injected faults; `budget` caps the
+/// simulation in simulated cycles; `cache` supplies a shared captured
+/// trace when the engine's trace cache is on (an uncacheable program
+/// falls back to live interpretation); `chaos` injects deterministic
+/// faults at the attempt's seams.
 ///
 /// Degradation, not failure: when a replayed trace fails its
 /// integrity checks mid-run ([`SimError::Trace`]), the attempt
-/// quarantines the trace — later cells of the program go straight to
-/// live interpretation — and transparently re-runs this cell live
-/// from cycle 0 with the same spec, seed, and attempt count, so the
-/// cell's results are bit-identical to a cell that never replayed.
+/// quarantines the trace — later passes of the program go straight to
+/// live interpretation — and transparently re-runs this pass live
+/// from cycle 0 with the same specs, seeds, and attempt count, so the
+/// members' results are bit-identical to cells that never replayed.
 /// Integrity failures are permanent (re-decoding the same bytes
 /// cannot succeed), so the fallback happens *within* the attempt
 /// instead of burning the engine's retries.
-fn run_cell_attempt(
-    index: usize,
-    spec: CellSpec,
+fn run_pass_attempt(
+    members: &[(usize, CellSpec)],
+    program_key: Option<u64>,
     attempt: u32,
     budget: Option<u64>,
     cache: Option<&TraceCache>,
     chaos: Option<&ChaosInjector>,
-) -> Result<CellResult, ExpError> {
+) -> Result<Vec<CellResult>, ExpError> {
     let t0 = Instant::now();
-    if spec.interval == 0 {
-        // Caught here, not by the sampling timer's assert: a config
-        // error is final, while a panic would be retried as transient.
-        return Err(ExpError::Config(SimError::InvalidConfig {
-            field: "interval",
-            reason: "sampling interval must be nonzero".to_string(),
-        }));
-    }
-    match spec.fault {
-        Some(Fault::PanicUntilAttempt(n)) if attempt < n => {
-            panic!("injected panic on attempt {attempt} (cell {index})")
+    for (index, spec) in members {
+        if spec.interval == 0 {
+            // Caught here, not by the sampling timer's assert: a config
+            // error is final, while a panic would be retried as
+            // transient.
+            return Err(ExpError::Config(SimError::InvalidConfig {
+                field: "interval",
+                reason: "sampling interval must be nonzero".to_string(),
+            }));
         }
-        Some(Fault::ErrorUntilAttempt(n)) if attempt < n => {
-            return Err(ExpError::Injected { attempt });
+        match spec.fault {
+            Some(Fault::PanicUntilAttempt(n)) if attempt < n => {
+                panic!("injected panic on attempt {attempt} (cell {index})")
+            }
+            Some(Fault::ErrorUntilAttempt(n)) if attempt < n => {
+                return Err(ExpError::Injected { attempt });
+            }
+            _ => {}
         }
-        _ => {}
     }
-    // Hash the program once per cell; both cache lookups key on it.
-    let program_key = cache.map(|_| trace_cache::program_fingerprint(&spec.program));
+    let (lead_index, lead) = &members[0];
+    // Hash the program once per pass; both cache lookups key on it.
+    let program_key = cache
+        .map(|_| program_key.unwrap_or_else(|| trace_cache::program_fingerprint(&lead.program)));
     // Transient observer faults fire only on the first attempt (the
     // retry loop recovers them); persistent ones fire on every attempt
     // and surface as a failed cell.
-    let observer_fault = chaos
-        .and_then(|c| c.observer_fault(index))
-        .filter(|f| f.persistent || attempt == 1);
+    let observer_faults: Vec<ObserverFault> = members
+        .iter()
+        .filter_map(|(i, _)| chaos.and_then(|c| c.observer_fault(*i)))
+        .filter(|f| f.persistent || attempt == 1)
+        .collect();
     let trace = cache
         .zip(program_key)
-        .and_then(|(c, key)| c.checkout_keyed(key, &spec.program));
+        .and_then(|(c, key)| c.checkout_keyed(key, &lead.program));
     let replaying = trace.is_some();
-    let first = run_cell_pass(
-        index,
-        &spec,
+    let first = run_pass(
+        members,
         budget,
         cache,
         program_key,
         trace,
-        observer_fault,
+        &observer_faults,
         t0,
     );
     match first {
@@ -1280,26 +1464,28 @@ fn run_cell_attempt(
                 "replay trace failed integrity checks mid-run; \
                  falling back to live interpretation",
                 &[
-                    ("index", Value::from(index)),
-                    ("workload", Value::str(&*spec.workload)),
+                    ("index", Value::from(*lead_index)),
+                    ("workload", Value::str(&*lead.workload)),
+                    ("members", Value::from(members.len())),
                     ("error", Value::from(e.to_string())),
                 ],
             );
-            progress::emit_current(&ProgressEvent::ReplayFallback {
-                ts_ns: tea_obs::now_ns(),
-                index,
-                workload: spec.workload.to_string(),
-            });
+            for (index, spec) in members {
+                progress::emit_current(&ProgressEvent::ReplayFallback {
+                    ts_ns: tea_obs::now_ns(),
+                    index: *index,
+                    workload: spec.workload.to_string(),
+                });
+            }
             // The failed pass dropped its golden ticket (if it held
             // one), so this pass can re-claim and publish.
-            run_cell_pass(
-                index,
-                &spec,
+            run_pass(
+                members,
                 budget,
                 cache,
                 program_key,
                 None,
-                observer_fault,
+                &observer_faults,
                 t0,
             )
         }
@@ -1307,32 +1493,35 @@ fn run_cell_attempt(
     }
 }
 
-/// One simulation pass of one cell: builds its observers, runs the
-/// core — replaying `trace` when given, interpreting live otherwise —
-/// and packages the measurements. `t0` is the enclosing attempt's
-/// start, so a fallback pass's wall time covers the wasted replay too.
-#[allow(clippy::too_many_arguments)]
-fn run_cell_pass(
-    index: usize,
-    spec: &CellSpec,
+/// One simulation of one pass: builds one golden reference (or adopts
+/// the cache's shared one) plus each member's TIP and scheme observers
+/// on the member's own sampling timer, runs the core once — replaying
+/// `trace` when given, interpreting live otherwise — and packages one
+/// result per member. Every member gets the pass's [`SimStats`] and
+/// golden reference, its own PICS and sample counts, and an equal
+/// share of the pass wall. `t0` is the enclosing attempt's start, so a
+/// fallback pass's wall covers the wasted replay too.
+fn run_pass(
+    members: &[(usize, CellSpec)],
     budget: Option<u64>,
     cache: Option<&TraceCache>,
     program_key: Option<u64>,
     trace: Option<Arc<CapturedTrace>>,
-    observer_fault: Option<ObserverFault>,
+    observer_faults: &[ObserverFault],
     t0: Instant,
-) -> Result<CellResult, ExpError> {
-    let timer = || SampleTimer::with_jitter(spec.interval, spec.interval / 8, spec.seed);
-    // The golden reference is seed- and interval-independent, so cells
-    // of one (program, config) pair share one finished reference: the
-    // claim winner computes and publishes it, later cells skip the
-    // observer entirely, and claim-race losers compute locally.
+) -> Result<Vec<CellResult>, ExpError> {
+    let lead = &members[0].1;
+    // The golden reference is seed- and interval-independent, so one
+    // serves every member, and passes of one (program, config) pair
+    // share one finished reference: the claim winner computes and
+    // publishes it, later passes skip the observer entirely, and
+    // claim-race losers compute locally.
     let mut golden_shared = None;
     let mut golden_ticket = None;
-    let mut golden = if spec.golden {
+    let golden = if members.iter().any(|(_, spec)| spec.golden) {
         match cache
             .zip(program_key)
-            .map(|(c, key)| c.golden_checkout_keyed(key, &spec.config))
+            .map(|(c, key)| c.golden_checkout_keyed(key, &lead.config))
         {
             Some(GoldenCheckout::Shared(g)) => {
                 golden_shared = Some(g);
@@ -1347,33 +1536,37 @@ fn run_cell_pass(
     } else {
         None
     };
-    // One statically dispatched set (ISSUE 10): every known profiler is
-    // an `AnyObserver` variant, so the run loop delivers notifications
-    // through enum matches instead of a `&mut dyn Observer` slice. Each
-    // push index is remembered so the observers can be taken back out
-    // after the run.
+    // One statically dispatched set: every known profiler is an
+    // `AnyObserver` variant, so the run loop delivers notifications
+    // through enum matches. Each push index is remembered so the
+    // observers can be taken back out after the run.
     let mut set = ObserverSet::new();
-    let golden_at = golden.take().map(|g| set.push(AnyObserver::Golden(g)));
-    let tip_at = if spec.tip {
-        Some(set.push(AnyObserver::Tip(TipProfiler::new(timer()))))
-    } else {
-        None
-    };
-    let scheme_at: Vec<(Scheme, usize)> = spec
-        .schemes
+    let golden_at = golden.map(|g| set.push(AnyObserver::Golden(g)));
+    let member_at: Vec<_> = members
         .iter()
-        .map(|&s| (s, set.push(AnyObserver::for_scheme(s, timer()))))
+        .map(|(_, spec)| {
+            let timer = || SampleTimer::with_jitter(spec.interval, spec.interval / 8, spec.seed);
+            let tip_at = spec
+                .tip
+                .then(|| set.push(AnyObserver::Tip(TipProfiler::new(timer()))));
+            let scheme_at: Vec<(Scheme, usize)> = spec
+                .schemes
+                .iter()
+                .map(|&s| (s, set.push(AnyObserver::for_scheme(s, timer()))))
+                .collect();
+            (tip_at, scheme_at)
+        })
         .collect();
     // Last, so the injected panic never masks real observer work in
     // the same cycle. Chaos is the one observer outside the known set;
     // it rides the `Dyn` escape hatch at the old virtual-call cost.
-    if let Some(fault) = observer_fault {
+    for &fault in observer_faults {
         set.push(AnyObserver::Dyn(Box::new(ChaosObserver::new(fault))));
     }
     let stats = {
         let mut core = match trace {
-            Some(trace) => Core::try_with_trace(&spec.program, trace, spec.config.clone()),
-            None => Core::try_new(&spec.program, spec.config.clone()),
+            Some(trace) => Core::try_with_trace(&lead.program, trace, lead.config.clone()),
+            None => Core::try_new(&lead.program, lead.config.clone()),
         }
         .map_err(ExpError::Config)?;
         match budget {
@@ -1396,17 +1589,10 @@ fn run_cell_pass(
         Some(AnyObserver::Golden(g)) => g,
         _ => unreachable!("golden observer keeps its slot"),
     });
-    let tip = tip_at.map(|at| match items[at].take() {
-        Some(AnyObserver::Tip(t)) => t,
-        _ => unreachable!("tip observer keeps its slot"),
-    });
-    let scheme_obs: Vec<(Scheme, AnyObserver)> = scheme_at
-        .into_iter()
-        .map(|(s, at)| (s, items[at].take().expect("scheme observer keeps its slot")))
-        .collect();
-    // The run succeeded: publish a claimed reference for later cells of
-    // the pair, or adopt the shared one so the cell's artifact (and the
-    // profiler.golden.* counters) are identical to a computed run's.
+    // The run succeeded: publish a claimed reference for later passes
+    // of the pair, or adopt the shared one so the members' artifacts
+    // (and the profiler.golden.* counters) are identical to a computed
+    // run's.
     let golden = match golden.map(Arc::new) {
         Some(g) => {
             if let Some(ticket) = golden_ticket {
@@ -1416,29 +1602,46 @@ fn run_cell_pass(
         }
         None => golden_shared,
     };
-    record_profiler_metrics(golden.as_deref(), tip.as_ref(), &scheme_obs);
-    let mut pics = HashMap::new();
-    let mut samples = HashMap::new();
-    for (scheme, obs) in scheme_obs {
-        samples.insert(
-            scheme,
-            obs.samples().expect("scheme observers count samples"),
-        );
-        pics.insert(
-            scheme,
-            obs.into_pics().expect("scheme observers produce PICS"),
-        );
-    }
-    Ok(CellResult {
-        index,
-        spec: spec.clone(),
-        stats,
-        golden,
-        tip: tip.map(|t| t.profile().clone()),
-        pics,
-        samples,
-        wall,
-    })
+    let results = members
+        .iter()
+        .zip(member_at)
+        .zip(shares(wall, members.len()))
+        .map(|(((index, spec), (tip_at, scheme_at)), wall)| {
+            let tip = tip_at.map(|at| match items[at].take() {
+                Some(AnyObserver::Tip(t)) => t,
+                _ => unreachable!("tip observer keeps its slot"),
+            });
+            let scheme_obs: Vec<(Scheme, AnyObserver)> = scheme_at
+                .into_iter()
+                .map(|(s, at)| (s, items[at].take().expect("scheme observer keeps its slot")))
+                .collect();
+            let golden = golden.as_ref().filter(|_| spec.golden).map(Arc::clone);
+            record_profiler_metrics(golden.as_deref(), tip.as_ref(), &scheme_obs);
+            let mut pics = HashMap::new();
+            let mut samples = HashMap::new();
+            for (scheme, obs) in scheme_obs {
+                samples.insert(
+                    scheme,
+                    obs.samples().expect("scheme observers count samples"),
+                );
+                pics.insert(
+                    scheme,
+                    obs.into_pics().expect("scheme observers produce PICS"),
+                );
+            }
+            CellResult {
+                index: *index,
+                spec: spec.clone(),
+                stats,
+                golden,
+                tip: tip.map(|t| t.profile().clone()),
+                pics,
+                samples,
+                wall,
+            }
+        })
+        .collect();
+    Ok(results)
 }
 
 /// Publishes one finished cell attempt's profiler measurements:

@@ -106,7 +106,8 @@ pub enum ProgressEvent {
         done: usize,
         /// Total cells.
         total: usize,
-        /// Cells currently executing.
+        /// Timing passes currently executing (at most one per
+        /// worker; the cells of one pass run together).
         running: usize,
         /// Worker threads.
         workers: usize,

@@ -49,18 +49,19 @@
 //! propagating it; one dead cell must not wedge every later checkout
 //! of the run.
 //!
-//! The cache also shares finished [`GoldenReference`]s across cells.
-//! The golden reference observes only the timing model — never the
-//! sampling seed or interval — so every cell of one `(program, config)`
-//! pair produces the bit-identical reference, and all but the first can
-//! skip the observer's per-cycle attribution work entirely. Unlike
-//! traces, a golden reference is a *by-product* of a full simulation,
-//! so the coordination is a non-blocking claim: the first cell to ask
-//! gets a [`GoldenTicket`] and publishes its reference after its run
-//! succeeds; concurrent cells that lose the claim race compute their
-//! own reference locally rather than block on a whole simulation; and
-//! a claimant that fails (panic, timeout, fault) releases the claim on
-//! drop so a later cell can publish. The golden cache deliberately
+//! The cache also shares finished [`GoldenReference`]s across timing
+//! passes. The golden reference observes only the timing model — never
+//! the sampling seed or interval — so every pass of one `(program,
+//! config)` pair produces the bit-identical reference (the engine
+//! already feeds all cells of one pass from a single reference), and
+//! all but the first can skip the observer's per-cycle attribution work
+//! entirely. Unlike traces, a golden reference is a *by-product* of a
+//! full simulation, so the coordination is a non-blocking claim: the
+//! first pass to ask gets a [`GoldenTicket`] and publishes its
+//! reference after its run succeeds; concurrent passes that lose the
+//! claim race compute their own reference locally rather than block on
+//! a whole simulation; and a claimant that fails (panic, timeout,
+//! fault) releases the claim on drop so a later pass can publish. The golden cache deliberately
 //! emits **no** metrics: claim outcomes are scheduling-dependent, and
 //! counting them would break the serial/parallel metric-snapshot
 //! equality the `trace_cache.*` counters guarantee.

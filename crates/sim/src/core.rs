@@ -234,6 +234,13 @@ enum StreamSource<'p> {
         /// Sequence number of `buf[0]` (a multiple of the codec block
         /// length).
         base: u64,
+        /// The block decoded before `buf`, kept so a squash that
+        /// rewinds across a block boundary swaps it back in instead of
+        /// decoding it again (and the next fetch decoding `buf`'s
+        /// block again after it).
+        prev: Vec<DynInst>,
+        /// Sequence number of `prev[0]`.
+        prev_base: u64,
     },
 }
 
@@ -259,6 +266,10 @@ struct Stream<'p> {
     /// end-of-program and [`Core::try_run_for`] surfaces it as the
     /// matching [`SimError`] variant.
     error: Option<StreamError>,
+    /// Replay blocks decoded so far; read by the decode-thrash
+    /// regression test.
+    #[cfg(test)]
+    decodes: usize,
 }
 
 impl<'p> Stream<'p> {
@@ -270,6 +281,8 @@ impl<'p> Stream<'p> {
                 base: 0,
             },
             error: None,
+            #[cfg(test)]
+            decodes: 0,
         }
     }
 
@@ -280,8 +293,12 @@ impl<'p> Stream<'p> {
                 trace,
                 buf: Vec::new(),
                 base: 0,
+                prev: Vec::new(),
+                prev_base: 0,
             },
             error: None,
+            #[cfg(test)]
+            decodes: 0,
         }
     }
 
@@ -308,6 +325,8 @@ impl<'p> Stream<'p> {
                 trace,
                 buf,
                 base,
+                prev,
+                prev_base,
             } => {
                 // Hot path: the seq lives in the current decode block.
                 if seq >= *base {
@@ -321,10 +340,21 @@ impl<'p> Stream<'p> {
                     }
                     return None;
                 }
-                // Miss: decode the containing block. Squash recovery
-                // can also rewind across a block boundary, so this
-                // moves the window backward as readily as forward.
+                // Miss: the current block becomes the previous one,
+                // and the containing block is either the old previous
+                // one (a squash rewound across a block boundary, or
+                // fetch moved forward again after one) or decoded into
+                // the older buffer.
                 let block = (seq / codec::BLOCK_LEN as u64) as usize;
+                std::mem::swap(buf, prev);
+                std::mem::swap(base, prev_base);
+                if !buf.is_empty() && *base == (block * codec::BLOCK_LEN) as u64 {
+                    return buf.get((seq - *base) as usize).copied();
+                }
+                #[cfg(test)]
+                {
+                    self.decodes += 1;
+                }
                 match trace.decode_block_into(program, block, buf) {
                     Ok(b) => {
                         *base = b;
@@ -1776,6 +1806,41 @@ mod tests {
             matches!(err, SimError::Trace(_)),
             "expected SimError::Trace, got {err:?}"
         );
+    }
+
+    /// Regression: a commit flush that rewinds across a replay block
+    /// boundary used to decode the previous block again, and the next
+    /// fetch the block it had just left again after it. With the
+    /// previous block kept, every block decodes once.
+    #[test]
+    fn replay_rewinds_across_blocks_decode_each_block_once() {
+        // Every iteration flushes at commit (`frflags`), so fetch runs
+        // past each block boundary before a flush just below it pulls
+        // the cursor back.
+        let mut a = Asm::new();
+        let top = a.new_label();
+        a.li(Reg::T0, 0);
+        a.li(Reg::T1, 2000);
+        a.bind(top);
+        a.frflags(Reg::T3);
+        a.addi(Reg::T2, Reg::T2, 3);
+        a.xor(Reg::T4, Reg::T4, Reg::T2);
+        a.addi(Reg::T0, Reg::T0, 1);
+        a.blt(Reg::T0, Reg::T1, top);
+        a.halt();
+        let p = a.finish().unwrap();
+        let trace = Arc::new(CapturedTrace::capture(&p, 1 << 20).expect("test program halts"));
+        let blocks = trace.num_blocks();
+        assert!(blocks >= 3, "the stream must span 3+ blocks, got {blocks}");
+        let mut core = Core::with_trace(&p, trace, SimConfig::default());
+        let stats = core.run(&mut []);
+        assert!(stats.commit_flushes >= 2000, "every iteration flushes");
+        assert!(
+            core.stream.decodes <= blocks,
+            "{} decodes of {blocks} blocks",
+            core.stream.decodes
+        );
+        assert_eq!(stats, Core::new(&p, SimConfig::default()).run(&mut []));
     }
 
     /// Regression (PR 5 satellite): after the live window collapses,

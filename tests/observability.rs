@@ -58,7 +58,8 @@ fn metrics_snapshot_is_identical_for_serial_and_parallel_runs() {
     );
     // Sanity: the run actually populated all three layers.
     assert_eq!(serial.counter("engine.cells_ok"), Some(4));
-    assert_eq!(serial.counter("sim.runs"), Some(4));
+    // One timing pass per workload: the two seeds share it.
+    assert_eq!(serial.counter("sim.runs"), Some(2));
     assert!(serial.counter("sim.cycles").unwrap_or(0) > 0);
     assert!(serial
         .metrics()
